@@ -54,11 +54,8 @@ val guarded_rank : int
 
 (** {2 Unified pruning-counter namespace}
 
-    LIFS and Causality historically emitted differently-shaped counter
-    names ([lifs.schedules_statically_skipped],
-    [causality.flips_statically_pruned]).  Every pruning source now
-    also emits a canonical [pruned/*] name; the old names are kept as
-    deprecated aliases so committed benchmarks stay comparable. *)
+    Every pruning source, in LIFS and in Causality Analysis, counts
+    under one canonical [pruned/*] name. *)
 
 type pruned_kind =
   [ `Lifs_equivalent  (** DPOR-equivalent schedules *)
@@ -70,9 +67,5 @@ type pruned_kind =
 val pruned_counter : pruned_kind -> string
 (** Canonical counter name, e.g. ["pruned/ca_invariant"]. *)
 
-val pruned_alias : pruned_kind -> string
-(** The deprecated pre-unification name, e.g.
-    ["causality.flips_statically_pruned"]. *)
-
 val count_pruned : ?by:int -> pruned_kind -> unit
-(** Bump both the canonical counter and its deprecated alias. *)
+(** Bump the canonical counter. *)

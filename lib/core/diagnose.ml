@@ -376,10 +376,15 @@ let diagnose ?max_interleavings ?max_steps ?(static_hints = false)
             match crash.Trace.Crash.location with
             | None -> None
             | Some label ->
-              List.find_index
-                (fun (spec : Ksim.Program.thread_spec) ->
-                  List.mem label (Ksim.Program.labels spec.program))
-                group.Ksim.Program.threads
+              (* List.find_index needs OCaml >= 5.1; 4.14 is supported *)
+              let rec index i = function
+                | [] -> None
+                | (spec : Ksim.Program.thread_spec) :: rest ->
+                  if List.mem label (Ksim.Program.labels spec.program) then
+                    Some i
+                  else index (i + 1) rest
+              in
+              index 0 group.Ksim.Program.threads
           in
           let snapshots = make_snapshots () in
           let lifs =

@@ -42,14 +42,25 @@ let with_prologue (prologue : int list) (policy : Hypervisor.Controller.policy)
   in
   pick prologue
 
-(* Capture a snapshot after every executed step: the machine plus the
-   enforcement policy's dumped state, newest first. *)
+(* Capture the positions a later run can resume from: the machine plus
+   the enforcement policy's dumped state, newest first.  LIFS switches
+   fire right after a memory access and Causality Analysis flips
+   diverge right before one, so a position is kept when the step that
+   produced it or the step that follows it accessed memory.  The last
+   position is held until the next step shows which. *)
 let capture dump snaps_rev : Hypervisor.Controller.observer =
- fun m trace_rev steps ->
-  let queue, pending = dump () in
-  snaps_rev :=
-    { Hypervisor.Snapshots.machine = m; trace_rev; steps; queue; pending }
-    :: !snaps_rev
+  let last = ref None in
+  fun m trace_rev steps ->
+    let queue, pending = dump () in
+    let here =
+      { Hypervisor.Snapshots.machine = m; trace_rev; steps; queue; pending }
+    in
+    match trace_rev with
+    | { Ksim.Machine.access = Some _; _ } :: _ ->
+      Option.iter (fun s -> snaps_rev := s :: !snaps_rev) !last;
+      snaps_rev := here :: !snaps_rev;
+      last := None
+    | _ -> last := Some here
 
 (* --- the resilience driver -------------------------------------------- *)
 
@@ -227,10 +238,9 @@ let run_preemption ?max_steps ?(prologue = []) ?snapshots ?resilience
         let policy = with_prologue prologue policy in
         ( Hypervisor.Vm.run ?max_steps ~observe:(capture dump snaps_rev) vm
             policy,
-          [||],
           None )
       in
-      let outcome, base, parent =
+      let outcome, parent =
         match Hypervisor.Snapshots.find_preemption cache enforced with
         | Some hit ->
           if
@@ -251,11 +261,10 @@ let run_preemption ?max_steps ?(prologue = []) ?snapshots ?resilience
             let policy = with_prologue prologue policy in
             ( Hypervisor.Vm.resume ?max_steps
                 ~observe:(capture dump snaps_rev) vm hit.start policy,
-              hit.base,
-              (* Remember where the base prefix came from: if that
-                 vector gets poisoned by a concurrent worker before we
-                 store, the store must be dropped. *)
-              Some (hit.vector_key, hit.parent_generation) )
+              (* The stored vector links to the one restored from; if
+                 a concurrent worker poisons or evicts it before we
+                 store, the store is dropped. *)
+              Some hit )
         | None -> fresh ()
       in
       (* A tainted run executed perturbed steps (hang truncation is
@@ -267,8 +276,8 @@ let run_preemption ?max_steps ?(prologue = []) ?snapshots ?resilience
         | None -> true
       in
       if store_ok then
-        Hypervisor.Snapshots.store cache ~key ?parent ~base
-          ~suffix_rev:!snaps_rev ();
+        Hypervisor.Snapshots.store cache ~key ?parent ~suffix_rev:!snaps_rev
+          ();
       { schedule_kind = `Preemption; outcome; confidence = 1. }
     | Some _ | None ->
       let policy =

@@ -65,8 +65,11 @@ let verdict_name = function
 
 (* Context switches of a trace: the scheduling analogue of the
    hypervisor's breakpoint-hit count — each switch is one trampoline
-   interception in the paper's setup. *)
-let context_switches (trace : Ksim.Machine.event list) =
+   interception in the paper's setup.  [prev] is the event just before
+   the trace, when it continues a run: a change of thread across that
+   boundary is a switch too. *)
+let context_switches ?(prev : Ksim.Machine.event option)
+    (trace : Ksim.Machine.event list) =
   let rec go prev n = function
     | [] -> n
     | (e : Ksim.Machine.event) :: rest ->
@@ -75,7 +78,8 @@ let context_switches (trace : Ksim.Machine.event list) =
         (if prev = Some tid || prev = None then n else n + 1)
         rest
   in
-  go None 0 trace
+  let tid (e : Ksim.Machine.event) = e.iid.Ksim.Access.Iid.tid in
+  go (Option.map tid prev) 0 trace
 
 (* Run [m] under [policy] until completion, failure, deadlock or the step
    watchdog, starting from an arbitrary resumable position. *)
@@ -163,8 +167,10 @@ let run ?max_steps ?observe (m : Ksim.Machine.t) (policy : policy) : outcome =
   o
 
 (* A resumed run executes only the suffix beyond [start]: the span and
-   instruction counter cover the divergent steps, never the restored
-   prefix — that is the saving the snapshot cache exists to make. *)
+   the instruction and context-switch counters cover the divergent
+   steps (plus the switch across the restore boundary), never the
+   restored prefix — that is the saving the snapshot cache exists to
+   make. *)
 let resume ?max_steps ?observe (start : start) (policy : policy) : outcome =
   Telemetry.Probe.span_begin ~cat:"hypervisor" "controller.resume";
   let o = run_from ?max_steps ?observe start policy in
@@ -172,6 +178,15 @@ let resume ?max_steps ?observe (start : start) (policy : policy) : outcome =
     Telemetry.Probe.count "controller.resumed_runs";
     Telemetry.Probe.count ~by:(o.steps - start.start_steps)
       "controller.instructions";
+    let rec suffix n l =
+      match l with _ :: rest when n > 0 -> suffix (n - 1) rest | _ -> l
+    in
+    let prev =
+      match start.start_trace_rev with e :: _ -> Some e | [] -> None
+    in
+    Telemetry.Probe.count
+      ~by:(context_switches ?prev (suffix start.start_steps o.trace))
+      "controller.context_switches";
     Telemetry.Probe.count ("controller.verdict." ^ verdict_name o.verdict);
     Telemetry.Probe.span_end
       ~args:

@@ -59,11 +59,14 @@ val resume : ?max_steps:int -> ?observe:observer -> start -> policy -> outcome
 (** Continue a run from a restored snapshot position.  The outcome's
     trace and step count cover the whole run (prefix + suffix), exactly
     as [run] would report, but only the suffix instructions execute —
-    the telemetry instruction counter reflects the suffix alone. *)
+    the telemetry instruction and context-switch counters reflect the
+    suffix alone (a switch across the restore boundary included). *)
 
-val context_switches : Ksim.Machine.event list -> int
+val context_switches :
+  ?prev:Ksim.Machine.event -> Ksim.Machine.event list -> int
 (** Context switches of a trace — the scheduling analogue of the
-    hypervisor's breakpoint-hit count. *)
+    hypervisor's breakpoint-hit count.  [prev] is the event the trace
+    continues from, if any; a change of thread across it counts. *)
 
 val verdict_name : verdict -> string
 (** Short stable name ([completed], [failed], …) for telemetry args. *)

@@ -2,11 +2,18 @@
     tree.
 
     The machine is persistent, so a snapshot is the machine value
-    reached after each step of a run (copy-on-write through the
-    persistent maps, no deep copy).  A run's snapshots form one vector
-    keyed by its schedule; a child schedule (one more switch, or a flip
-    plan permuting the same trace) restores the longest cached prefix
-    and executes only the divergent suffix.
+    reached after a step of a run (copy-on-write through the persistent
+    maps, no deep copy).  A run's snapshots form one vector keyed by its
+    schedule; a child schedule (one more switch, or a flip plan
+    permuting the same trace) restores the longest cached prefix and
+    executes only the divergent suffix.
+
+    A vector holds only the positions its run captured — the executor
+    captures next to steps that access memory: LIFS switches fire right
+    after one and flip plans diverge right before one — and a vector
+    stored by a resumed run links to the parent vector it resumed from
+    instead of copying the shared prefix.
+    A lookup for a position that was not captured misses.
 
     Two invariants are enforced at lookup time: a preemption hit
     requires the parent policy's pending-switch list to be empty at the
@@ -17,12 +24,15 @@
     byte budget the cache is disabled and callers take the plain
     reboot path, bit-identical to no cache at all.
 
+    The byte budget bounds the estimated footprint of every resident
+    vector: a vector that a resident child links to is not evicted.
+
     The cache is safe to share between the workers of a {!Pool}: every
     operation holds one cache-wide lock (a no-op on the single-domain
     build), machines are persistent so restores never mutate shared
     state, and per-vector generation counters close the hit→store
     window — a child vector whose restored prefix came from a vector
-    poisoned in between is silently dropped. *)
+    poisoned or evicted in between is silently dropped. *)
 
 module Iid = Ksim.Access.Iid
 
@@ -35,8 +45,11 @@ type snap = {
 }
 
 type vector
-(** The snapshots of one run: position [k] is the state after [k+1]
-    steps. *)
+(** The captured snapshots of one run, in step order, possibly sharing
+    a prefix with the parent vector its run resumed from. *)
+
+type link
+(** Where a resumed run's vector attaches to its parent vector. *)
 
 type t
 (** An LRU cache of vectors under an estimated byte budget. *)
@@ -49,23 +62,36 @@ val enabled : t -> bool
 (** False when the budget is zero or negative: every lookup misses and
     nothing is stored. *)
 
+type preemption_hit = {
+  start : Controller.start;  (** restored position *)
+  resume_queue : int list;
+  resume_switches : Schedule.switch list;
+      (** exactly the child's new switch, still pending *)
+  from : link;  (** what the resumed run's vector will link to *)
+  vector_key : string;
+      (** the cache key of the vector the start was restored from —
+          what {!poison} takes when the restore turns out corrupted *)
+  parent_generation : int;
+      (** that vector's generation at hit time; {!store} drops the
+          child when a poisoning lands between hit and store *)
+}
+
 val store :
   t ->
   key:string ->
-  ?parent:string * int ->
-  base:snap array ->
+  ?parent:preemption_hit ->
   suffix_rev:snap list ->
   unit ->
   unit
 (** Record the snapshot vector of a completed preemption run under the
-    schedule's key.  [base] is the prefix inherited from the parent
-    vector when the run was resumed (empty for a full run);
-    [suffix_rev] is what the controller observer captured, newest
-    first.  [parent] is the [(vector_key, parent_generation)] pair of
-    the {!preemption_hit} the run resumed from; if that vector has
-    been poisoned since the hit (concurrent workers only), the store
-    is silently dropped — the base prefix is suspect.  Evicts
-    least-recently-used vectors once over budget. *)
+    schedule's key.  [suffix_rev] is what the controller observer
+    captured, newest first.  [parent] is the {!preemption_hit} the run
+    resumed from: the vector is stored linked to that parent, sharing
+    its prefix.  If the parent has been poisoned or evicted since the
+    hit (concurrent workers only), the store is silently dropped — the
+    prefix is suspect or no longer accounted.  Evicts least-recently
+    used leaf vectors once over budget.  Counts the captured positions
+    as [snapshot.captured] and runs under a [snapshot.store] span. *)
 
 val poison : t -> key:string -> unit
 (** Mark the entry under [key] unusable — a restore from it was
@@ -73,26 +99,12 @@ val poison : t -> key:string -> unit
     count {!poisoned_refusals}), so callers degrade gracefully to the
     reboot path.  No-op for an absent or already-poisoned key. *)
 
-type preemption_hit = {
-  start : Controller.start;  (** restored position *)
-  resume_queue : int list;
-  resume_switches : Schedule.switch list;
-      (** exactly the child's new switch, still pending *)
-  base : snap array;  (** prefix snaps, adjusted for re-capture *)
-  vector_key : string;
-      (** the cache key of the vector the start was restored from —
-          what {!poison} takes when the restore turns out corrupted *)
-  parent_generation : int;
-      (** that vector's generation at hit time; passed back to
-          {!store} so a poisoning that lands between hit and store
-          invalidates the child *)
-}
-
 val find_preemption : t -> Schedule.preemption -> preemption_hit option
 (** The longest reusable prefix of a preemption schedule: the cached
     run of the same schedule minus its last switch, restored just after
     the step that triggers that switch.  [None] on any soundness doubt
-    — unfired parent switches, poisoned snapshot, cold cache. *)
+    — unfired parent switches, an uncaptured trigger, poisoned
+    snapshot, cold cache.  Runs under a [snapshot.find] span. *)
 
 type plan_hit = {
   plan_start : Controller.start;
@@ -102,9 +114,10 @@ type plan_hit = {
 
 val find_plan : t -> key:string -> Schedule.plan -> plan_hit option
 (** The longest prefix of the plan coinciding with the stored run under
-    [key] — for Causality Analysis, the failure run the flip permutes.
-    Restoring it and enforcing only the suffix plan is bit-identical to
-    a fresh run. *)
+    [key] — for Causality Analysis, the failure run the flip permutes —
+    restored at the last captured position inside it.  Restoring it and
+    enforcing only the suffix plan is bit-identical to a fresh run.
+    Runs under a [snapshot.find] span. *)
 
 (** {1 Statistics} *)
 

@@ -182,43 +182,53 @@ let test_shared_cache_contention (bug : Bugs.Bug.t) () =
       (Hypervisor.Snapshots.cached_vectors cache > 0)
 
 (* The hit→store window: a store whose restored prefix came from a
-   vector poisoned in between must be dropped (stale generation), while
-   stores under a live generation or with an evicted/absent parent
-   proceed. *)
+   vector poisoned in between must be dropped (stale generation), as
+   must one whose parent is no longer the resident vector the hit
+   restored from (evicted, or another cache's); a store under a live
+   generation proceeds and links to its parent. *)
 let test_generation_drop () =
+  let module Snapshots = Hypervisor.Snapshots in
+  let module Schedule = Hypervisor.Schedule in
   let group = (Bugs.Fig1_nullderef.bug.case ()).group in
-  let m0 = Ksim.Machine.create group in
-  let tid = List.hd (Ksim.Machine.thread_ids m0) in
-  let machine, ev =
-    match Ksim.Machine.step m0 tid with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "first step refused"
+  let tids = Ksim.Machine.thread_ids (Ksim.Machine.create group) in
+  let serial = Schedule.serial tids in
+  let parent_run cache =
+    let vm = Hypervisor.Vm.create group in
+    (Aitia.Executor.run_preemption ~snapshots:cache vm serial).outcome
   in
-  let snap =
-    { Hypervisor.Snapshots.machine; trace_rev = [ ev ]; steps = 1;
-      queue = [ tid ]; pending = [] }
+  let t = Snapshots.create () in
+  let o = parent_run t in
+  checki "parent stored" 1 (Snapshots.cached_vectors t);
+  let e =
+    List.find (fun (e : Ksim.Machine.event) -> e.access <> None) o.trace
   in
-  let t = Hypervisor.Snapshots.create () in
-  Hypervisor.Snapshots.store t ~key:"p" ~base:[||] ~suffix_rev:[ snap ] ();
-  checki "parent stored" 1 (Hypervisor.Snapshots.cached_vectors t);
-  (* generation 0 is live: the child built on p's prefix is accepted *)
-  Hypervisor.Snapshots.store t ~key:"c1" ~parent:("p", 0) ~base:[||]
-    ~suffix_rev:[ snap ] ();
-  checki "fresh-generation child stored" 2
-    (Hypervisor.Snapshots.cached_vectors t);
-  Hypervisor.Snapshots.poison t ~key:"p";
-  checki "poisoning counted" 1 (Hypervisor.Snapshots.poisonings t);
+  let other =
+    List.find (fun tid -> tid <> e.iid.Ksim.Access.Iid.tid) tids
+  in
+  let child =
+    { serial with
+      Schedule.switches = [ { Schedule.after = e.iid; switch_to = other } ] }
+  in
+  let hit_in cache =
+    match Snapshots.find_preemption cache child with
+    | Some h -> h
+    | None -> Alcotest.fail "expected a preemption hit"
+  in
+  let h = hit_in t in
+  (* generation 0 is live: the child built on the prefix is accepted *)
+  Snapshots.store t ~key:"c1" ~parent:h ~suffix_rev:[] ();
+  checki "fresh-generation child stored" 2 (Snapshots.cached_vectors t);
+  (* a hit taken from another cache names a vector [t] does not hold *)
+  let t2 = Snapshots.create () in
+  ignore (parent_run t2);
+  Snapshots.store t ~key:"c2" ~parent:(hit_in t2) ~suffix_rev:[] ();
+  checki "foreign-parent child dropped" 2 (Snapshots.cached_vectors t);
+  Snapshots.poison t ~key:h.vector_key;
+  checki "poisoning counted" 1 (Snapshots.poisonings t);
   (* generation 0 is now stale: this child restored its prefix before
      the poisoning and must be dropped *)
-  Hypervisor.Snapshots.store t ~key:"c2" ~parent:("p", 0) ~base:[||]
-    ~suffix_rev:[ snap ] ();
-  checki "stale-generation child dropped" 2
-    (Hypervisor.Snapshots.cached_vectors t);
-  (* an evicted / absent parent is benign, not suspect *)
-  Hypervisor.Snapshots.store t ~key:"c3" ~parent:("gone", 0) ~base:[||]
-    ~suffix_rev:[ snap ] ();
-  checki "absent-parent child stored" 3
-    (Hypervisor.Snapshots.cached_vectors t)
+  Snapshots.store t ~key:"c3" ~parent:h ~suffix_rev:[] ();
+  checki "stale-generation child dropped" 2 (Snapshots.cached_vectors t)
 
 (* --- registration -------------------------------------------------------- *)
 

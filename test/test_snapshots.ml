@@ -32,6 +32,12 @@ let same_outcome (a : Hypervisor.Controller.outcome)
        (Ksim.Engine.fingerprint a.final)
        (Ksim.Engine.fingerprint b.final)
 
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+let rec drop n = function _ :: rest when n > 0 -> drop (n - 1) rest | l -> l
+
 (* --- fixtures ----------------------------------------------------------- *)
 
 let globals = [ ("g0", Ksim.Value.Int 0); ("g1", Ksim.Value.Int 0) ]
@@ -124,6 +130,28 @@ let test_child_hit () =
   checkb "grandchild identical to fresh run" true
     (same_outcome gc_cached gc_fresh)
 
+(* --- unit: only positions next to a memory access are captured ---------- *)
+
+(* A switch after a step that touched no memory and is followed by no
+   access names a position the cache never captured: the lookup misses
+   and the run falls back to a full, identical execution. *)
+let test_uncaptured_trigger_misses () =
+  let group = benign_group () in
+  let cache = Snapshots.create () in
+  let vm = Hypervisor.Vm.create group in
+  let parent =
+    (Executor.run_preemption ~snapshots:cache vm serial_sched).outcome
+  in
+  let nop = List.nth parent.trace 6 in
+  checkb "b3 is a nop ending the run" true
+    (nop.Ksim.Machine.access = None && List.length parent.trace = 7);
+  let child = child_of parent ~index:6 ~switch_to:0 in
+  checkb "uncaptured trigger misses" true
+    (Snapshots.find_preemption cache child = None);
+  let cached = (Executor.run_preemption ~snapshots:cache vm child).outcome in
+  checkb "fallback identical to fresh run" true
+    (same_outcome cached (run_with group child))
+
 (* --- unit: eviction ------------------------------------------------------ *)
 
 let test_eviction () =
@@ -145,6 +173,102 @@ let test_eviction () =
   checkb "evicted prefix falls back to a full run" true
     (same_outcome cached fresh);
   checki "no hits after eviction" 0 (Snapshots.hits cache)
+
+(* --- unit: eviction never frees a linked parent ------------------------- *)
+
+(* Parent P, child C resumed from P, grandchild G resumed from C: a
+   chain of linked vectors.  Storing one more vector under a budget one
+   byte short of all four forces an eviction; plain LRU would pick P,
+   which C and G still link to and keep alive.  Leaf eviction drops G
+   instead, the byte estimate stays within budget, and C still restores
+   correctly — both for a new child of its own suffix and for a plan
+   whose prefix lies in the region it shares with P. *)
+let test_eviction_keeps_linked_parents () =
+  let group = benign_group () in
+  let child = child_of (run_with group serial_sched) ~index:1 ~switch_to:1 in
+  let c_trace = run_with group child in
+  let grandchild =
+    { child with
+      Schedule.switches =
+        child.Schedule.switches
+        @ [ { Schedule.after = (List.nth c_trace.trace 3).Ksim.Machine.iid;
+              switch_to = 0 } ] }
+  in
+  let other = Schedule.serial [ 1; 0 ] in
+  let fill budget_bytes =
+    let cache = Snapshots.create ~budget_bytes () in
+    let vm = Hypervisor.Vm.create group in
+    List.iter
+      (fun sched ->
+        ignore (Executor.run_preemption ~snapshots:cache vm sched);
+        checkb "within budget after every store" true
+          (Snapshots.cached_bytes cache <= budget_bytes))
+      [ serial_sched; child; grandchild; other ];
+    (cache, vm)
+  in
+  let unbounded, _ = fill Snapshots.default_budget_bytes in
+  checki "child and grandchild resumed" 2 (Snapshots.hits unbounded);
+  let budget = Snapshots.cached_bytes unbounded - 1 in
+  let cache, vm = fill budget in
+  checki "one eviction" 1 (Snapshots.evictions cache);
+  checki "the grandchild leaf went, the linked parents stayed" 3
+    (Snapshots.cached_vectors cache);
+  checkb "P is still resident" true
+    (Snapshots.find_preemption cache child <> None);
+  checkb "within budget" true (Snapshots.cached_bytes cache <= budget);
+  let hits = Snapshots.hits cache in
+  let cached =
+    (Executor.run_preemption ~snapshots:cache vm grandchild).outcome
+  in
+  checki "grandchild resumes from the child again" (hits + 1)
+    (Snapshots.hits cache);
+  checkb "grandchild identical to fresh run" true
+    (same_outcome cached (run_with group grandchild));
+  let plan =
+    match iids_of c_trace with
+    | a1 :: a2 :: rest -> Schedule.plan (a1 :: a2 :: List.rev rest)
+    | _ -> Alcotest.fail "child trace too short"
+  in
+  let child_key = Schedule.preemption_key child in
+  (match Snapshots.find_plan cache ~key:child_key plan with
+  | Some h -> checki "restored in the region shared with P" 2 h.matched
+  | None -> Alcotest.fail "expected a plan hit");
+  let plan_cached =
+    (Executor.run_plan ~snapshots:(cache, child_key) vm plan).outcome
+  in
+  let plan_fresh =
+    (Executor.run_plan (Hypervisor.Vm.create group) plan).outcome
+  in
+  checkb "plan through the linked prefix identical to fresh" true
+    (same_outcome plan_cached plan_fresh)
+
+(* --- unit: resumed runs count their own context switches ---------------- *)
+
+(* The restored prefix's switches are not re-counted, the suffix's are,
+   and so is the switch across the restore boundary: the counter equals
+   the full run's switches minus the prefix's. *)
+let test_resume_context_switches () =
+  let group = benign_group () in
+  let cache = Snapshots.create () in
+  let vm = Hypervisor.Vm.create group in
+  let parent =
+    (Executor.run_preemption ~snapshots:cache vm serial_sched).outcome
+  in
+  let child = child_of parent ~index:1 ~switch_to:1 in
+  let r = Telemetry.Recorder.create () in
+  ignore
+    (Telemetry.Probe.with_sink (Telemetry.Recorder.sink r) (fun () ->
+         Executor.run_preemption ~snapshots:cache vm child));
+  let counter = Telemetry.Recorder.counter r in
+  checki "one resumed run" 1 (counter "controller.resumed_runs");
+  let prefix_steps = counter "snapshot.restored_instrs" in
+  checki "prefix ends at the switch trigger" 2 prefix_steps;
+  let full = (run_with group child).trace in
+  let switches = Hypervisor.Controller.context_switches in
+  let expected = switches full - switches (take prefix_steps full) in
+  checki "a2 -> b1 across the restore boundary, then b3 -> a3" 2 expected;
+  checki "counter = full - prefix" expected
+    (counter "controller.context_switches")
 
 (* --- unit: undo-log snapshot accounting ----------------------------------- *)
 
@@ -198,21 +322,36 @@ let test_undo_log_accounting () =
       (Ksim.Engine.snapshot_cost ~prev:unrelated m)
   | [] -> ());
   (* Cache-level: the stored vector's byte estimate follows the same
-     accounting through Snapshots.store. *)
+     accounting through Snapshots.store, over the captured positions
+     rather than every step: a position is captured when the step
+     before or after it accessed memory. *)
   let bytes_with engine =
     let cache = Snapshots.create () in
     let vm = Hypervisor.Vm.create ~engine group in
-    ignore (Executor.run_preemption ~snapshots:cache vm serial_sched);
-    Snapshots.cached_bytes cache
+    let o =
+      (Executor.run_preemption ~snapshots:cache vm serial_sched).outcome
+    in
+    let rec captured = function
+      | (e : Ksim.Machine.event) :: (next :: _ as rest) ->
+        Bool.to_int (e.access <> None || next.access <> None) + captured rest
+      | [ e ] -> Bool.to_int (e.access <> None)
+      | [] -> 0
+    in
+    (captured o.trace, Snapshots.cached_bytes cache)
   in
-  checki "reference vector: 1024 + 256*n"
-    (1024 + (256 * 7))
-    (bytes_with Ksim.Engine.Reference);
-  let cb = bytes_with Ksim.Engine.Compiled in
+  let n, rb = bytes_with Ksim.Engine.Reference in
+  (* a1 a2 a3 access memory, a4 precedes b1, b1 b2 access; b3 ends the
+     run after a nop *)
+  checki "benign group captures 6 of its 7 steps" 6 n;
+  checki "reference vector: 1024 + 256*n" (1024 + (256 * n)) rb;
+  let n, cb = bytes_with Ksim.Engine.Compiled in
+  (* the undo-log delta between two captured positions covers every
+     step in between, so the total still lies within the per-step
+     bounds of the whole chain *)
   checkb
     (Fmt.str "compiled vector: one clone + marginal deltas (%d bytes)" cb)
     true
-    (cb >= 1024 + 4096 + (6 * 48) && cb <= 1024 + 4096 + (6 * 256))
+    (cb >= 1024 + 4096 + ((n - 1) * 48) && cb <= 1024 + 4096 + (6 * 256))
 
 (* --- unit: poisoned snapshots are never reused --------------------------- *)
 
@@ -372,24 +511,34 @@ let gen_group ~failing : Ksim.Program.group QCheck.Gen.t =
 
 let arb_case =
   QCheck.make
-    ~print:(fun (grp, i, f) ->
-      Fmt.str "group %s, index %d, failing %b" grp.Ksim.Program.group_name i
-        f)
+    ~print:(fun (grp, i, j, f) ->
+      Fmt.str "group %s, index %d, grandchild %d, failing %b"
+        grp.Ksim.Program.group_name i j f)
     QCheck.Gen.(
       let* failing = bool in
       let* grp = gen_group ~failing in
       let* i = int_range 0 30 in
-      return (grp, i, failing))
+      let* j = int_range 0 30 in
+      return (grp, i, j, failing))
 
 (* Count hits across the whole property run so we can assert the
-   property actually exercised the resume path, not just fallbacks. *)
+   property actually exercised the resume path, not just fallbacks:
+   child hits, grandchild hits on a vector that was itself resumed, and
+   plan hits restored from the parent region a child vector links to. *)
 let prop_hits = ref 0
+let prop_grandchild_hits = ref 0
+let prop_linked_plan_hits = ref 0
 
+(* Depth 3: parent, child resumed from the parent, grandchild resumed
+   from the child; then a plan over the child's vector that keeps only
+   a prefix of its run, so the restore lands in the positions the child
+   shares with the parent.  Every cached run must be outcome-identical
+   to a fresh one. *)
 let prop_resume_identity =
   QCheck.Test.make ~count:300
     ~name:"snapshot resume+suffix == fresh execution"
     arb_case
-    (fun (group, i, _failing) ->
+    (fun (group, i, j, _failing) ->
       let cache = Snapshots.create () in
       let vm = Hypervisor.Vm.create group in
       let parent =
@@ -406,7 +555,8 @@ let prop_resume_identity =
         let cached =
           (Executor.run_preemption ~snapshots:cache vm child).outcome
         in
-        prop_hits := !prop_hits + (Snapshots.hits cache - before);
+        let child_hit = Snapshots.hits cache > before in
+        if child_hit then incr prop_hits;
         let fresh = run_with group child in
         (* and the plan path against the same cached vector *)
         let key = Schedule.preemption_key serial_sched in
@@ -417,10 +567,60 @@ let prop_resume_identity =
         let plan_fresh =
           (Executor.run_plan (Hypervisor.Vm.create group) plan).outcome
         in
-        same_outcome cached fresh && same_outcome plan_cached plan_fresh)
+        (* grandchild: one more switch anywhere in the child's run.  In
+           the child's own suffix it resumes from the child's vector; in
+           the prefix the child shares with the parent, the child's
+           switch is still pending there, so the lookup must miss. *)
+        let grandchild_ok =
+          match cached.trace with
+          | [] -> true
+          | trace ->
+            let e2 = List.nth trace (j mod List.length trace) in
+            let grandchild =
+              { child with
+                Schedule.switches =
+                  child.Schedule.switches
+                  @ [ { Schedule.after = e2.Ksim.Machine.iid;
+                        switch_to = 1 - e2.Ksim.Machine.iid.Iid.tid } ] }
+            in
+            let before = Snapshots.hits cache in
+            let gc_cached =
+              (Executor.run_preemption ~snapshots:cache vm grandchild).outcome
+            in
+            if child_hit && Snapshots.hits cache > before then
+              incr prop_grandchild_hits;
+            same_outcome gc_cached (run_with group grandchild)
+        in
+        (* a plan over the child's vector that follows only its first
+           [k] steps, all inside the prefix shared with the parent *)
+        let child_key = Schedule.preemption_key child in
+        let k = 1 + (j mod (index + 1)) in
+        let child_iids = iids_of cached in
+        let linked_plan =
+          Schedule.plan (take k child_iids @ List.rev (drop k child_iids))
+        in
+        (match Snapshots.find_plan cache ~key:child_key linked_plan with
+        | Some h when child_hit && h.Snapshots.matched <= index + 1 ->
+          incr prop_linked_plan_hits
+        | Some _ | None -> ());
+        let linked_cached =
+          (Executor.run_plan ~snapshots:(cache, child_key) vm linked_plan)
+            .outcome
+        in
+        let linked_fresh =
+          (Executor.run_plan (Hypervisor.Vm.create group) linked_plan).outcome
+        in
+        same_outcome cached fresh
+        && same_outcome plan_cached plan_fresh
+        && grandchild_ok
+        && same_outcome linked_cached linked_fresh)
 
 let test_prop_exercised_hits () =
-  checkb "resume property hit the cache" true (!prop_hits > 0)
+  checkb "resume property hit the cache" true (!prop_hits > 0);
+  checkb "grandchildren resumed from resumed vectors" true
+    (!prop_grandchild_hits > 0);
+  checkb "plans restored from a linked parent region" true
+    (!prop_linked_plan_hits > 0)
 
 (* --- corpus: cache on/off bit-identity ----------------------------------- *)
 
@@ -521,8 +721,14 @@ let () =
             test_zero_budget;
           Alcotest.test_case "child schedule hits parent prefix" `Quick
             test_child_hit;
+          Alcotest.test_case "uncaptured trigger misses" `Quick
+            test_uncaptured_trigger_misses;
           Alcotest.test_case "eviction falls back gracefully" `Quick
             test_eviction;
+          Alcotest.test_case "eviction never frees a linked parent" `Quick
+            test_eviction_keeps_linked_parents;
+          Alcotest.test_case "resumed runs count their own switches" `Quick
+            test_resume_context_switches;
           Alcotest.test_case "undo-log snapshot accounting" `Quick
             test_undo_log_accounting;
           Alcotest.test_case "poisoned snapshot never reused" `Quick

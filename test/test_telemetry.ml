@@ -300,6 +300,35 @@ let test_bit_identical_no_sink () =
     checki "identical CA schedules" p.stats.schedules t.stats.schedules
   | _ -> Alcotest.fail "fig1 must diagnose"
 
+(* --- the snapshot cache's own spans ---------------------------------- *)
+
+(* With the cache on, its lookups and stores run under their own spans
+   and the captured positions are counted, so [aitia stats] attributes
+   the cache's self time; with it off none of them appear. *)
+let test_snapshot_spans () =
+  let bug = Bugs.Fig5_search.bug in
+  let record snapshot_cache =
+    let r = Telemetry.Recorder.create () in
+    ignore
+      (Telemetry.Probe.with_sink (Telemetry.Recorder.sink r) (fun () ->
+           Aitia.Diagnose.diagnose ~snapshot_cache (bug.case ())));
+    let span name =
+      match List.assoc_opt name (Telemetry.Recorder.span_stats r) with
+      | Some (st : Telemetry.Recorder.span_stat) -> st.s_count
+      | None -> 0
+    in
+    (span "snapshot.find", span "snapshot.store",
+     Telemetry.Recorder.counter r "snapshot.captured")
+  in
+  let find_on, store_on, captured_on = record true in
+  checkb "snapshot.find spans with the cache on" true (find_on > 0);
+  checkb "snapshot.store spans with the cache on" true (store_on > 0);
+  checkb "snapshot.captured counted with the cache on" true (captured_on > 0);
+  let find_off, store_off, captured_off = record false in
+  checki "no snapshot.find spans with the cache off" 0 find_off;
+  checki "no snapshot.store spans with the cache off" 0 store_off;
+  checki "no snapshot.captured with the cache off" 0 captured_off
+
 (* --- corpus parity: counters == Summary stats on every real bug -------- *)
 
 let corpus_parity (bug : Bugs.Bug.t) () =
@@ -319,8 +348,7 @@ let corpus_parity (bug : Bugs.Bug.t) () =
     let flips = List.length ca.tested in
     let pruned = ca.stats.flips_statically_pruned in
     checki "causality.flips counter" flips (c "causality.flips");
-    checki "causality.flips_statically_pruned counter" pruned
-      (c "causality.flips_statically_pruned");
+    checki "pruned/ca_static counter" pruned (c "pruned/ca_static");
     checki "causality.flips_executed counter" (flips - pruned)
       (c "causality.flips_executed");
     checki "causality.root_causes counter" (List.length ca.root_causes)
@@ -458,7 +486,9 @@ let () =
           Alcotest.test_case "metrics json" `Quick test_metrics_export ] );
       ( "overhead",
         [ Alcotest.test_case "no sink => bit-identical" `Quick
-            test_bit_identical_no_sink ] );
+            test_bit_identical_no_sink;
+          Alcotest.test_case "snapshot cache spans" `Quick
+            test_snapshot_spans ] );
       ("corpus-parity", corpus_cases ());
       ( "gate",
         [ Alcotest.test_case "pass" `Quick test_gate_pass;
