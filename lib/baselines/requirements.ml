@@ -89,7 +89,7 @@ let production_runs ?(count = 40) (group : Ksim.Program.group) :
   List.init count (fun _ ->
       let m = Ksim.Machine.create group in
       let policy =
-        Fuzz.Fuzzer.with_prologue prologue
+        Hypervisor.Schedule.with_prologue prologue
           (Fuzz.Fuzzer.random_policy (Fuzz.Rng.split rng))
       in
       Hypervisor.Controller.run m policy)

@@ -27,20 +27,7 @@ type run = {
   confidence : float;
 }
 
-(* Prologue threads (resource-setup system calls pulled in by the slicer)
-   are forced to run to completion, in order, before the interesting
-   threads; we wrap the policy. *)
-let with_prologue (prologue : int list) (policy : Hypervisor.Controller.policy)
-    : Hypervisor.Controller.policy =
- fun m runnable ->
-  let rec pick = function
-    | [] -> policy m runnable
-    | tid :: rest ->
-      if Ksim.Machine.is_done m tid then pick rest
-      else if List.mem tid runnable then Some tid
-      else None (* prologue blocked: give up *)
-  in
-  pick prologue
+let with_prologue = Hypervisor.Schedule.with_prologue
 
 (* Capture the positions a later run can resume from: the machine plus
    the enforcement policy's dumped state, newest first.  LIFS switches

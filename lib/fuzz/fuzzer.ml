@@ -24,23 +24,10 @@ type stats = {
    the "diversify interleavings" strategy of stress-style kernel
    fuzzers. *)
 let random_policy (rng : Rng.t) : Hypervisor.Controller.policy =
- fun _m runnable ->
+  Hypervisor.Controller.stepwise @@ fun _m runnable ->
   match runnable with
   | [] -> None
   | xs -> Some (Rng.pick rng xs)
-
-(* Serial-prologue wrapper for setup threads. *)
-let with_prologue prologue (policy : Hypervisor.Controller.policy) :
-    Hypervisor.Controller.policy =
- fun m runnable ->
-  let rec pick = function
-    | [] -> policy m runnable
-    | tid :: rest ->
-      if Ksim.Machine.is_done m tid then pick rest
-      else if List.mem tid runnable then Some tid
-      else None
-  in
-  pick prologue
 
 (* Reconstruct an ftrace history from an executed trace: syscall
    enter/exit and kernel-thread invocation events with timestamps
@@ -140,7 +127,9 @@ let run ?(max_runs = 2_000) ?(max_steps = 50_000) ?(prologue = [])
     else
       let run_rng = Rng.split rng in
       let m = Ksim.Machine.create group in
-      let policy = with_prologue prologue (random_policy run_rng) in
+      let policy =
+        Hypervisor.Schedule.with_prologue prologue (random_policy run_rng)
+      in
       let o = Hypervisor.Controller.run ~max_steps m policy in
       match o.verdict with
       | Hypervisor.Controller.Failed failure ->

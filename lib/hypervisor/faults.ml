@@ -176,7 +176,10 @@ let note_hang t =
   note t `Hang;
   t.attempt_tainted <- true
 
+(* Faulted runs are enforced one decision per step, so the call count
+   that places the diversion counts steps. *)
 let wrap_policy t (policy : Controller.policy) : Controller.policy =
+  let policy = Controller.one_step policy in
   if not (draw t t.spec.spurious) then policy
   else (
     let at = 1 + pick t 64 in
@@ -187,12 +190,12 @@ let wrap_policy t (policy : Controller.policy) : Controller.policy =
       if !calls <> at then choice
       else
         match choice with
-        | Some tid -> (
+        | Some (tid, hold) -> (
           match List.find_opt (fun u -> u <> tid) runnable with
           | Some u ->
             note t `Spurious;
             t.attempt_tainted <- true;
-            Some u
+            Some (u, hold)
           | None -> choice)
         | None -> choice)
 

@@ -109,7 +109,9 @@ val wrap_policy : t -> Controller.policy -> Controller.policy
 (** Decide whether this run suffers one spurious extra context switch,
     and if so wrap the policy to divert one scheduling decision to
     another runnable thread.  Taints the attempt when the diversion
-    actually happens. *)
+    actually happens.  The returned policy decides every instruction
+    ({!Controller.one_step}), so the diverted decision is a step
+    index and the seeded fault stream matches a per-step controller. *)
 
 val drop_switches : t -> Schedule.switch list -> Schedule.switch list * bool
 (** Decide whether one scheduling point of a preemption schedule is

@@ -82,6 +82,11 @@ let queue_policy ~(queue : int list) ~(switches : switch list) :
     go q
   in
   let to_front tid q = tid :: List.filter (fun x -> x <> tid) q in
+  let fired m (after : Iid.t) =
+    Ksim.Machine.has_thread m after.Iid.tid
+    && Ksim.Machine.occurrences m after.Iid.tid after.Iid.label
+       >= after.Iid.occ
+  in
   let policy m runnable =
     (* Fold spawn and switch effects of the previous step lazily: we
        inspect the machine to learn about new threads. *)
@@ -96,21 +101,24 @@ let queue_policy ~(queue : int list) ~(switches : switch list) :
       new_threads;
     (* Apply a pending switch if its trigger has executed. *)
     (match !pending with
-    | { after; switch_to } :: rest ->
-      let tid = after.Iid.tid in
-      let executed =
-        Ksim.Machine.has_thread m tid
-        && Ksim.Machine.occurrences m tid after.Iid.label >= after.Iid.occ
-      in
-      if executed then (
-        pending := rest;
-        queue := to_front switch_to !queue)
-    | [] -> ());
+    | { after; switch_to } :: rest when fired m after ->
+      pending := rest;
+      queue := to_front switch_to !queue
+    | _ -> ());
+    (* The choice holds until the next pending trigger executes — or,
+       when that trigger already executed out of order, for one step, so
+       the next call consumes it exactly as a per-step call would. *)
+    let hold =
+      match !pending with
+      | [] -> Controller.Run
+      | { after; _ } :: _ ->
+        if fired m after then Controller.Step else Controller.Run_until after
+    in
     (* Run the first runnable thread in queue order. *)
     let rec first = function
       | [] -> None
       | t :: rest ->
-        if List.mem t runnable then Some t else first rest
+        if List.mem t runnable then Some (t, hold) else first rest
     in
     first !queue
   in
@@ -127,6 +135,21 @@ let preemption_policy_tracked (p : preemption) =
    that exactly the suffix switches are passed, so the policy behaves
    bit-identically to the fresh policy from that position onward. *)
 let resume_policy ~queue ~switches = queue_policy ~queue ~switches
+
+(* Prologue threads (resource-setup system calls pulled in by the
+   slicer) run to completion, in order, before [policy] takes over; each
+   holds until it exits (or blocks, which gives the run up). *)
+let with_prologue (prologue : int list) (policy : Controller.policy) :
+    Controller.policy =
+ fun m runnable ->
+  let rec pick = function
+    | [] -> policy m runnable
+    | tid :: rest ->
+      if Ksim.Machine.is_done m tid then pick rest
+      else if List.mem tid runnable then Some (tid, Controller.Run)
+      else None (* prologue blocked: give up *)
+  in
+  pick prologue
 
 (* --- plan schedules --------------------------------------------------- *)
 
@@ -152,18 +175,46 @@ let plan_drop (p : plan) n =
 let pp_plan ppf p =
   Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any " => ") Iid.pp_full) p.events
 
+(* Plan enforcement.  While the planned thread is the head event's
+   thread and budget remains, a per-step policy would pick it again
+   whether or not its next instruction is the planned one (run-through),
+   so a decision for it holds: after each further step the executed
+   event tells which bookkeeping the per-step call would have done —
+   consume the matched event, or spend one unit of run-through budget —
+   and the hold ends when the head moves to another thread or the
+   budget is spent.  Running a lock holder, or the first runnable thread
+   once the plan is exhausted, holds to the next natural breakpoint. *)
 let plan_policy (p : plan) : Controller.policy =
   let remaining = ref p.events in
   let budget = ref p.run_through_budget in
+  let consume rest =
+    remaining := rest;
+    budget := p.run_through_budget
+  in
+  (* The hold of a decision for [tid]: the decision itself did the
+     bookkeeping of the first step; the watch does the rest. *)
+  let follow tid =
+    let first = ref true in
+    Controller.While
+      (fun (e : Ksim.Machine.event) ->
+        if !first then first := false
+        else (
+          match !remaining with
+          | ev :: rest when Iid.equal ev e.iid -> consume rest
+          | _ -> decr budget);
+        match !remaining with
+        | ev :: _ -> ev.Iid.tid = tid && !budget > 0
+        | [] -> false)
+  in
   fun m runnable ->
     let rec decide () =
       match !remaining with
-      | [] -> (match runnable with [] -> None | t :: _ -> Some t)
+      | [] ->
+        (match runnable with [] -> None | t :: _ -> Some (t, Controller.Run))
       | ev :: rest -> (
         let tid = ev.Iid.tid in
         let drop () =
-          remaining := rest;
-          budget := p.run_through_budget;
+          consume rest;
           decide ()
         in
         if not (Ksim.Machine.has_thread m tid) then drop ()
@@ -175,25 +226,26 @@ let plan_policy (p : plan) : Controller.policy =
               let next_occ = Ksim.Machine.occurrences m tid next + 1 in
               if String.equal next ev.Iid.label && next_occ = ev.Iid.occ then (
                 (* Stepping [tid] now executes exactly [ev]. *)
-                remaining := rest;
-                budget := p.run_through_budget;
-                Some tid)
+                consume rest;
+                Some (tid, follow tid))
               else if !budget > 0 then (
                 (* Control flow diverged from the plan (race-steered):
                    run the thread through the new path, hoping it
                    reconverges on the planned instruction. *)
                 decr budget;
-                Some tid)
+                Some (tid, follow tid))
               else drop ())
             else
               (* Planned thread blocked on a lock: preserve liveness by
                  running the holder (the paper's critical-section rule
                  keeps planned flips away from lock cycles; this is the
-                 runtime backstop). *)
+                 runtime backstop).  The holder's release ends the
+                 hold. *)
               match Ksim.Machine.blocked_on m tid with
               | Some lock -> (
                 match Ksim.Machine.lock_holder m lock with
-                | Some holder when List.mem holder runnable -> Some holder
+                | Some holder when List.mem holder runnable ->
+                  Some (holder, Controller.Run)
                 | Some _ | None -> None)
               | None -> drop ())
     in

@@ -37,7 +37,9 @@ val pp_preemption : preemption Fmt.t
 val preemption_policy : preemption -> Controller.policy
 (** Spawned background threads enter the run queue right after their
     spawner; the active thread runs until it finishes, blocks or hits a
-    scheduling point. *)
+    scheduling point.  Each decision holds until the next pending
+    switch's trigger executes ({!Controller.Run_until}), so the
+    controller consults the queue only at breakpoints. *)
 
 val preemption_policy_tracked :
   preemption -> Controller.policy * (unit -> int list * switch list)
@@ -57,6 +59,10 @@ val resume_policy :
     can itself be captured.  Bit-identical to the fresh policy from
     that position onward. *)
 
+val with_prologue : int list -> Controller.policy -> Controller.policy
+(** Force resource-setup threads to run to completion, in order, before
+    the policy takes over; a blocked prologue thread gives the run up. *)
+
 type plan = {
   events : Iid.t list;       (** the total order to enforce *)
   run_through_budget : int;  (** divergence tolerance per planned event *)
@@ -70,6 +76,10 @@ val plan_drop : plan -> int -> plan
     enforced once a snapshot restored the state they produced. *)
 
 val plan_policy : plan -> Controller.policy
+(** A decision for the planned thread holds while the plan's next event
+    stays on that thread and run-through budget remains
+    ({!Controller.While}); the run is identical to consulting the plan
+    before every instruction. *)
 
 val executed_events : plan -> Ksim.Machine.event list -> Iid.t list
 (** Which planned events actually executed — disappeared ones witness

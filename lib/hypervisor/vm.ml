@@ -25,7 +25,6 @@ type stats = {
   mutable failures : int;
   mutable deadlocks : int;
   mutable steps : int;       (* trace steps, restored prefixes included *)
-  mutable reverts : int;     (* snapshot restores (non-failing runs) *)
   mutable executed : int;    (* instructions actually executed *)
   mutable saved_steps : int; (* prefix instructions restored, not run *)
   mutable resumes : int;     (* runs resumed from a mid-run snapshot *)
@@ -48,7 +47,7 @@ let create ?(costs = default_costs) ?faults ?(engine = Ksim.Engine.default)
     group =
   { group; costs; faults; engine;
     stats =
-      { runs = 0; failures = 0; deadlocks = 0; steps = 0; reverts = 0;
+      { runs = 0; failures = 0; deadlocks = 0; steps = 0;
         executed = 0; saved_steps = 0; resumes = 0; sim_saved = 0.;
         penalty = 0.; last_run_failed = false } }
 
@@ -57,16 +56,18 @@ let faults t = t.faults
 let engine t = t.engine
 
 (* Boot a fresh guest: in the paper, restore the reproducer's memory
-   snapshot.  An injected boot failure consumes the restore attempt and
-   raises; the executor's retry loop handles it. *)
+   snapshot.  An injected boot failure consumes the attempt and raises;
+   the executor's retry loop handles it.  Every run starts from exactly
+   one successful boot or one snapshot restore ([resume]), so
+   [vm.boots + vm.snapshot_restores = vm.runs] with the cache on or
+   off. *)
 let boot t =
-  t.stats.reverts <- t.stats.reverts + 1;
-  Telemetry.Probe.count "vm.snapshot_restores";
   (match t.faults with
   | Some f when Faults.boot_fails f ->
     Telemetry.Probe.count "vm.boot_failures";
     raise Boot_failure
   | Some _ | None -> ());
+  Telemetry.Probe.count "vm.boots";
   Ksim.Engine.boot t.engine t.group
 
 let record t ~executed (o : Controller.outcome) =
@@ -131,6 +132,9 @@ let resume ?max_steps ?observe t (start : Controller.start) policy =
   if t.stats.last_run_failed then
     t.stats.sim_saved <- t.stats.sim_saved +. t.costs.per_reboot;
   Telemetry.Probe.count "vm.resumes";
+  (* [Controller.resume] restores the start's machine: the one
+     materialization this resume costs. *)
+  Telemetry.Probe.count "vm.snapshot_restores";
   let o = Controller.resume ?max_steps ?observe start policy in
   let o = flap (settle t ~hang o) in
   let prefix = start.Controller.start_steps in
@@ -161,7 +165,6 @@ let absorb t (other : t) =
   s.failures <- s.failures + o.failures;
   s.deadlocks <- s.deadlocks + o.deadlocks;
   s.steps <- s.steps + o.steps;
-  s.reverts <- s.reverts + o.reverts;
   s.executed <- s.executed + o.executed;
   s.saved_steps <- s.saved_steps + o.saved_steps;
   s.resumes <- s.resumes + o.resumes;

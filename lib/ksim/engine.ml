@@ -28,14 +28,17 @@ let step = Machine.step
 
 (* A snapshot is the machine value itself: the reference engine is
    persistent, and the compiled engine is frozen so the shared arena is
-   only ever read (restores clone-and-rewind from it). *)
+   only ever read.  A restore clones and rewinds it once; the restored
+   machine is then a live tip that steps and answers queries in place. *)
 type snapshot = Machine.t
 
 let snapshot m =
   Machine.freeze m;
   m
 
-let restore s = s
+let restore = Machine.materialize
+
+let seal = Machine.seal
 
 let snapshot_cost ?prev (m : Machine.t) = Machine.snapshot_cost ?prev m
 

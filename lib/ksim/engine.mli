@@ -38,9 +38,14 @@ val snapshot : Machine.t -> snapshot
     from several domains. *)
 
 val restore : snapshot -> Machine.t
-(** The machine at the snapshotted state.  O(1); a compiled-engine
-    restore defers the arena clone-and-rewind until the machine is
-    actually stepped or inspected. *)
+(** A live machine at the snapshotted state.  A compiled-engine restore
+    performs its one arena clone-and-rewind here; the result then steps
+    and answers queries without cloning again.  O(1) on the reference
+    engine. *)
+
+val seal : Machine.t -> Machine.t
+(** {!Machine.seal}: drop the undo log behind a finished run, so a
+    retained final machine keeps only its tip state. *)
 
 val snapshot_cost : ?prev:Machine.t -> Machine.t -> int
 (** Estimated marginal bytes of retaining a snapshot, given the

@@ -668,12 +668,14 @@ let fingerprint t =
    persistent maps — while appending inverse operations to an undo log.
    A machine value over this engine is a [handle]: the arena plus a mark
    into the undo log.  Exactly one handle (the arena's [ar_current]) is
-   positioned at the arena's tip and may step in place; stepping or
-   inspecting any other handle first clones the arena and rewinds the
-   clone's undo suffix back to the handle's mark, reproducing that
-   state.  [freeze] drops the tip handle so a published snapshot can be
-   restored concurrently from several domains — a frozen arena is only
-   ever read. *)
+   positioned at the arena's live tip and may step in place; stepping
+   any other handle first clones the arena and rewinds the clone's undo
+   suffix back to the handle's mark, reproducing that state.  Queries
+   read the arena in place whenever the handle's mark is the log length
+   and clone only below it.  [freeze] drops the live tip so a published
+   snapshot can be restored concurrently from several domains — a
+   frozen arena is only ever read; [materialize] is the one clone a
+   restore pays, after which the restored handle is a live tip. *)
 
 module Fast = struct
   type cexpr =
@@ -1202,7 +1204,10 @@ module Fast = struct
      handle of the new arena has a mark at or above its creation point),
      so the prefix is not copied.  The source arena is only read, so
      this is safe against a frozen arena from any domain. *)
+  let clones = Atomic.make 0
+
   let clone_at (h : handle) : arena =
+    Atomic.incr clones;
     let src = h.h_arena in
     let ar =
       { ar_cg = src.ar_cg;
@@ -1228,9 +1233,15 @@ module Fast = struct
     done;
     ar
 
-  (* Read-only view of [h]'s state: the live arena when [h] is the tip,
-     a throwaway rewound clone otherwise. *)
-  let reading h f = if is_current h then f h.h_arena else f (clone_at h)
+  (* Does [h] denote its arena's present state?  The log only grows
+     while a tip handle steps in place and a frozen arena never changes,
+     so a handle whose mark is the log length sees the arena as it is. *)
+  let at_tip h = h.h_mark = h.h_arena.ar_undo_n
+
+  (* Read-only view of [h]'s state: the arena itself when [h] is at its
+     tip (live or frozen — reading never mutates), a throwaway rewound
+     clone otherwise. *)
+  let reading h f = if at_tip h then f h.h_arena else f (clone_at h)
 
   let retip ar =
     let h =
@@ -1241,6 +1252,29 @@ module Fast = struct
     h
 
   let freeze h = h.h_arena.ar_current <- None
+
+  (* A live machine at [h]'s state: one clone-and-rewind into a private
+     arena whose tip the result is, so stepping and inspecting it never
+     clone again. *)
+  let materialize h = retip (clone_at h)
+
+  (* Drop the undo log behind a finished run's tip.  The sealed handle
+     gets an arena record of its own that shares the tip state and has
+     an empty log; the source arena keeps its log for any handle that
+     still points into it.  Both are frozen, since they share mutable
+     state: stepping either clones first.  When no other handle
+     survives, the source record and its log become garbage and the
+     sealed machine retains only the tip state. *)
+  let seal h =
+    let src = h.h_arena in
+    if not (is_current h) || src.ar_undo_n = 0 then h
+    else begin
+      src.ar_current <- None;
+      let ar =
+        { src with ar_undo = [||]; ar_undo_n = 0; ar_current = None }
+      in
+      { h with h_arena = ar; h_mark = 0 }
+    end
 
   (* Marginal byte cost of keeping [h] alive in a snapshot vector, given
      the previously accounted snapshot [prev] of the same chain. *)
@@ -1879,20 +1913,12 @@ module Fast = struct
           match !objs with [] -> None | objs -> Some objs
         end
       in
-      if is_current h then (
-        match decide h.h_arena with
-        | None -> h
-        | Some objs ->
-          let ar = h.h_arena in
-          set_failure ar (Failure.Memory_leak { objs });
-          retip ar)
-      else
-        let ar = clone_at h in
-        (match decide ar with
-        | None -> h
-        | Some objs ->
-          set_failure ar (Failure.Memory_leak { objs });
-          retip ar)
+      match reading h decide with
+      | None -> h
+      | Some objs ->
+        let ar = if is_current h then h.h_arena else clone_at h in
+        set_failure ar (Failure.Memory_leak { objs });
+        retip ar
 
   (* --- bridge to the pure engine -------------------------------------- *)
 
@@ -2073,6 +2099,18 @@ let fingerprint = function
 (* --- compiled-engine management -------------------------------------- *)
 
 let freeze = function Pure _ -> () | Fast h -> Fast.freeze h
+
+let materialize = function
+  | Pure _ as m -> m
+  | Fast h -> Fast (Fast.materialize h)
+
+let seal = function Pure _ as m -> m | Fast h -> Fast (Fast.seal h)
+
+let undo_entries = function
+  | Pure _ -> 0
+  | Fast h -> h.Fast.h_arena.Fast.ar_undo_n
+
+let clones () = Atomic.get Fast.clones
 
 let snapshot_cost ?prev m =
   match m with

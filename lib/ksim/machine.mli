@@ -124,6 +124,29 @@ val freeze : t -> unit
     domains (a frozen arena is only ever read).  No-op on the reference
     engine.  Call before publishing a machine into a shared cache. *)
 
+val materialize : t -> t
+(** A live machine at this state.  On the compiled engine this is the
+    one clone-and-rewind of a restore: the result is the tip of a
+    private arena, so stepping and inspecting it never clone again.
+    Identity on the reference engine. *)
+
+val seal : t -> t
+(** Drop the undo log behind a finished run's tip: the result answers
+    every query (and {!fingerprint}) exactly as the argument does but
+    keeps only the tip state.  Handles that still point into the old
+    arena stay valid — it keeps its log until none survives — and both
+    are frozen, so stepping either clones first.  Identity on the
+    reference engine and on a handle that is not its arena's live
+    tip. *)
+
+val undo_entries : t -> int
+(** Undo-log entries retained behind this machine's arena (0 on the
+    reference engine and after {!seal}). *)
+
+val clones : unit -> int
+(** Process-wide count of compiled-engine arena clones
+    (clone-and-rewind of a handle that is not at its arena's tip). *)
+
 val snapshot_cost : ?prev:t -> t -> int
 (** Approximate bytes of keeping this machine alive in a snapshot
     vector.  For the compiled engine the cost of a snapshot that shares

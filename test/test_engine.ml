@@ -306,10 +306,9 @@ let prop_restore_equals_fresh =
               | Ok (m', _) -> m := m'
               | Error _ -> Alcotest.fail "prefix replay refused a step")
           sched;
-        let snap = Engine.snapshot !m in
-        (* Step past the snapshot so the restore is a genuine rewind,
-           not the arena tip. *)
-        let dirty = ref (Engine.restore snap) in
+        (* Step the arena past the cut before freezing it, so the
+           restore is a genuine rewind, not the arena tip. *)
+        let dirty = ref !m in
         List.iteri
           (fun i tid ->
             if i >= cut then
@@ -317,6 +316,7 @@ let prop_restore_equals_fresh =
               | Ok (m', _) -> dirty := m'
               | Error _ -> ())
           sched;
+        let snap = Engine.snapshot !m in
         (* Restore and re-drive: every suffix step must reproduce the
            fresh run's fingerprint exactly. *)
         let r = ref (Engine.restore snap) in

@@ -92,8 +92,8 @@ let gen_seed = QCheck.Gen.int_range 0 1_000_000
 let random_run group seed =
   let rng = Fuzz.Rng.create seed in
   Hypervisor.Controller.run (Ksim.Machine.create group)
-    (fun _m runnable ->
-      match runnable with [] -> None | xs -> Some (Fuzz.Rng.pick rng xs))
+    (Hypervisor.Controller.stepwise (fun _m runnable ->
+         match runnable with [] -> None | xs -> Some (Fuzz.Rng.pick rng xs)))
 
 let arb_group_seed =
   QCheck.make
